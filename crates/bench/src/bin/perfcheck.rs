@@ -13,17 +13,15 @@
 //! (2 vs 3), and the run asserts that parallel and serial construction
 //! produce bit-identical corpora and benchmark results.
 //!
-//! It then measures the training phase on the real corpus: per-model fit
-//! time, the presorted-vs-naive split-search speedup for the tree family,
-//! and a cold/warm demonstration of the per-table experiment cache (a
-//! warm Table 4 rerun must be served entirely from disk).
+//! It then measures the training phase on the real corpus (per-model fit
+//! time) and gives a cold/warm demonstration of the per-table experiment
+//! cache (a warm Table 4 rerun must be served entirely from disk).
 //!
-//! Finally it profiles the serving decision path: the single-pass
-//! `FeatureExtractor` against the legacy multi-pass `MatrixStats` walk,
-//! the per-phase (embed / assign / label) nanosecond budget of a
-//! steady-state `learn: false` select, and an Elafrou-style per-feature
-//! cost table attributing each Table 1 feature to the extractor pass
-//! that pays for it.
+//! Finally it profiles the serving decision path: the warmed
+//! `FeatureExtractor`, the per-phase (embed / assign / label) nanosecond
+//! budget of a steady-state `learn: false` select, and an Elafrou-style
+//! per-feature cost table attributing each Table 1 feature to the
+//! extractor pass that pays for it.
 
 use spsel_bench::HarnessOptions;
 use spsel_core::cache::Cache;
@@ -32,7 +30,7 @@ use spsel_core::semi::{ClusterMethod, Labeler, SemiConfig};
 use spsel_core::telemetry::RunReport;
 use spsel_core::{SemiSupervisedSelector, ShardedOnlineSelector};
 use spsel_features::stats::WARP_ROWS;
-use spsel_features::{FeatureExtractor, FeatureId, FeatureVector, MatrixStats};
+use spsel_features::{FeatureExtractor, FeatureId, FeatureVector};
 use spsel_gpusim::Gpu;
 use spsel_matrix::{gen, CsrMatrix, Format, FormatRegistry, SpMv, Workload};
 use spsel_ml::forest::{RandomForest, RandomForestParams};
@@ -140,13 +138,11 @@ fn main() {
         seed: 17,
         ..Default::default()
     };
-    let dt_naive_ms = time_ms(|| DecisionTree::new(dt_params.clone()).fit_naive(&data));
     let dt_presorted_ms = time_ms(|| DecisionTree::new(dt_params.clone()).fit(&data));
     let gb_params = GradientBoostingParams {
         n_rounds: if h.opts.quick { 10 } else { 100 },
         ..Default::default()
     };
-    let gboost_naive_ms = time_ms(|| GradientBoosting::new(gb_params.clone()).fit_naive(&data));
     let gboost_presorted_ms = time_ms(|| GradientBoosting::new(gb_params.clone()).fit(&data));
     let rf_fit_ms = time_ms(|| {
         RandomForest::new(RandomForestParams {
@@ -160,29 +156,16 @@ fn main() {
     let knn_fit_ms = time_ms(|| KnnClassifier::new(5).fit(&data));
     let training = TrainingSummary {
         samples: data.len(),
-        dt_naive_ms,
         dt_presorted_ms,
-        dt_split_speedup: dt_naive_ms / dt_presorted_ms,
-        gboost_naive_ms,
         gboost_presorted_ms,
-        gboost_split_speedup: gboost_naive_ms / gboost_presorted_ms,
-        tree_family_speedup: (dt_naive_ms + gboost_naive_ms)
-            / (dt_presorted_ms + gboost_presorted_ms),
         rf_fit_ms,
         knn_fit_ms,
     };
-    h.report.record("train_dt_naive", dt_naive_ms / 1e3);
     h.report.record("train_dt_presorted", dt_presorted_ms / 1e3);
-    h.report.record("train_gboost_naive", gboost_naive_ms / 1e3);
     h.report
         .record("train_gboost_presorted", gboost_presorted_ms / 1e3);
     h.report.record("train_rf", rf_fit_ms / 1e3);
     h.report.record("train_knn", knn_fit_ms / 1e3);
-    println!(
-        "split-search speedup (naive / presorted): dt {:.2}x, xgboost {:.2}x, \
-         tree family {:.2}x",
-        training.dt_split_speedup, training.gboost_split_speedup, training.tree_family_speedup
-    );
     println!(
         "fit time: dt {dt_presorted_ms:.0}ms, rf {rf_fit_ms:.0}ms, \
          xgboost {gboost_presorted_ms:.0}ms, knn {knn_fit_ms:.0}ms"
@@ -257,13 +240,7 @@ fn main() {
     let n_probes = probes.len() as f64;
     let probe_nnz: usize = probes.iter().map(|m| m.nnz()).sum();
 
-    // Single-pass extractor vs the retained multi-pass path (the two are
-    // bit-identical; the property suite proves it, this measures it).
-    let legacy_ms = time_ms(|| {
-        for csr in &probes {
-            black_box(MatrixStats::from_csr(csr));
-        }
-    });
+    // The warmed extractor over the whole sweep.
     let mut extractor = FeatureExtractor::new();
     for csr in &probes {
         extractor.stats(csr); // size the scratch before timing
@@ -273,7 +250,6 @@ fn main() {
             black_box(extractor.stats(csr));
         }
     });
-    let extract_speedup = legacy_ms / single_ms;
     let extract_ns = single_ms * 1e6 / n_probes;
 
     // Per-pass kernels mirroring the extractor's three walks, timed over
@@ -321,7 +297,7 @@ fn main() {
     let preps: Vec<ProbePrep> = probes
         .iter()
         .map(|m| {
-            let s = MatrixStats::from_csr(m);
+            let s = extractor.stats(m);
             ProbePrep {
                 counts: m.row_counts(),
                 mean: s.nnz_mean,
@@ -448,10 +424,9 @@ fn main() {
         online.n_clusters(),
     );
     println!(
-        "single-pass extractor vs MatrixStats::from_csr: {extract_speedup:.2}x \
-         over {} probe matrices ({probe_nnz} nnz, avg {:.0}ns/matrix)",
+        "single-pass extractor: avg {extract_ns:.0}ns/matrix over {} probe matrices \
+         ({probe_nnz} nnz)",
         probes.len(),
-        extract_ns,
     );
     println!("feature budget (avg ns per probe matrix, pass cost shared by its features):");
     for fc in &feature_costs {
@@ -463,9 +438,7 @@ fn main() {
     let decision_path = DecisionPathSummary {
         probe_matrices: probes.len(),
         probe_nnz,
-        legacy_extract_ns: legacy_ms * 1e6 / n_probes,
         single_pass_extract_ns: extract_ns,
-        extract_speedup,
         embed_ns,
         assign_ns,
         label_ns,
@@ -621,11 +594,8 @@ struct KernelCost {
 struct DecisionPathSummary {
     probe_matrices: usize,
     probe_nnz: usize,
-    /// Avg ns per matrix for the retained multi-pass `MatrixStats` walk.
-    legacy_extract_ns: f64,
     /// Avg ns per matrix for the warmed single-pass extractor.
     single_pass_extract_ns: f64,
-    extract_speedup: f64,
     /// Avg per-decision phase nanoseconds from `decide_phased` — the same
     /// counters the serving engine accumulates into its Stats reply.
     embed_ns: f64,
@@ -651,20 +621,12 @@ struct FeatureCost {
     share_ns: f64,
 }
 
-/// Fit times on the per-GPU corpus dataset, plus the naive-vs-presorted
-/// split-search comparison backing the tree-family speedup claim.
+/// Fit times on the per-GPU corpus dataset.
 #[derive(serde::Serialize)]
 struct TrainingSummary {
     samples: usize,
-    dt_naive_ms: f64,
     dt_presorted_ms: f64,
-    dt_split_speedup: f64,
-    gboost_naive_ms: f64,
     gboost_presorted_ms: f64,
-    gboost_split_speedup: f64,
-    /// Combined (dt + gboost) naive / presorted ratio — the headline
-    /// training-phase speedup.
-    tree_family_speedup: f64,
     rf_fit_ms: f64,
     knn_fit_ms: f64,
 }

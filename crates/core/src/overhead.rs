@@ -23,6 +23,59 @@ pub struct AmortizedChoice {
     pub csr_total_us: f64,
 }
 
+/// The amortized-cost rule: among `formats`, the one minimizing
+/// `conversion + iterations * kernel`, where `time(f)` is one kernel call
+/// of `f` and conversion is priced in CSR-kernel equivalents. Formats
+/// that are out of memory (or whose CSR unit is) cost infinity; ties go
+/// to the earliest format; an empty set stays on CSR.
+fn amortize(
+    time: impl Fn(Format) -> f64,
+    formats: impl IntoIterator<Item = Format>,
+    conv: &ConversionCostModel,
+    iterations: usize,
+) -> AmortizedChoice {
+    let csr_unit = time(Format::Csr);
+    let total = |f: Format| -> f64 {
+        let t = time(f);
+        if !t.is_finite() || !csr_unit.is_finite() {
+            return f64::INFINITY;
+        }
+        conv.relative(f) * csr_unit + iterations as f64 * t
+    };
+    let csr_total = total(Format::Csr);
+    let (format, total_us) = formats
+        .into_iter()
+        .map(|f| (f, total(f)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap_or((Format::Csr, csr_total));
+    AmortizedChoice {
+        format,
+        total_us,
+        csr_total_us: csr_total,
+    }
+}
+
+/// The break-even rule: the smallest number of kernel calls after which
+/// converting from CSR to `format` pays off, or `None` if `format` is
+/// never faster than CSR (or does not fit in memory).
+fn break_even(
+    time: impl Fn(Format) -> f64,
+    conv: &ConversionCostModel,
+    format: Format,
+) -> Option<usize> {
+    let csr = time(Format::Csr);
+    if format == Format::Csr {
+        return csr.is_finite().then_some(0);
+    }
+    let t = time(format);
+    if !t.is_finite() || !csr.is_finite() || t >= csr {
+        return None;
+    }
+    // conversion * csr + n * t <= n * csr  =>  n >= conversion * csr / (csr - t)
+    let n = (conv.relative(format) * csr / (csr - t)).ceil();
+    Some(n as usize)
+}
+
 /// Pick the format minimizing `conversion + iterations * kernel_time`,
 /// starting from CSR (the storage format matrices arrive in).
 ///
@@ -43,25 +96,7 @@ pub fn amortized_best(
     conv: &ConversionCostModel,
     iterations: usize,
 ) -> AmortizedChoice {
-    let csr_spmv = times.get(Format::Csr);
-    let total = |f: Format| -> f64 {
-        let t = times.get(f);
-        if !t.is_finite() || !csr_spmv.is_finite() {
-            return f64::INFINITY;
-        }
-        conv.relative(f) * csr_spmv + iterations as f64 * t
-    };
-    let csr_total = total(Format::Csr);
-    let (format, total_us) = Format::ALL
-        .into_iter()
-        .map(|f| (f, total(f)))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("four formats");
-    AmortizedChoice {
-        format,
-        total_us,
-        csr_total_us: csr_total,
-    }
+    amortize(|f| times.get(f), Format::ALL, conv, iterations)
 }
 
 /// [`amortized_best`] generalized to any workload and format set: pick
@@ -78,25 +113,7 @@ pub fn amortized_best_workload(
     conv: &ConversionCostModel,
     iterations: usize,
 ) -> AmortizedChoice {
-    let csr_unit = times.get(Format::Csr);
-    let total = |f: Format| -> f64 {
-        let t = times.get(f);
-        if !t.is_finite() || !csr_unit.is_finite() {
-            return f64::INFINITY;
-        }
-        conv.relative(f) * csr_unit + iterations as f64 * t
-    };
-    let csr_total = total(Format::Csr);
-    let (format, total_us) = formats
-        .iter()
-        .map(|&f| (f, total(f)))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap_or((Format::Csr, csr_total));
-    AmortizedChoice {
-        format,
-        total_us,
-        csr_total_us: csr_total,
-    }
+    amortize(|f| times.get(f), formats.iter().copied(), conv, iterations)
 }
 
 /// [`break_even_iterations`] over a [`WorkloadTimes`] table: the smallest
@@ -107,16 +124,7 @@ pub fn break_even_iterations_workload(
     conv: &ConversionCostModel,
     format: Format,
 ) -> Option<usize> {
-    let csr = times.get(Format::Csr);
-    if format == Format::Csr {
-        return csr.is_finite().then_some(0);
-    }
-    let t = times.get(format);
-    if !t.is_finite() || !csr.is_finite() || t >= csr {
-        return None;
-    }
-    let n = (conv.relative(format) * csr / (csr - t)).ceil();
-    Some(n as usize)
+    break_even(|f| times.get(f), conv, format)
 }
 
 /// The break-even iteration count for `format`: the smallest number of
@@ -127,17 +135,7 @@ pub fn break_even_iterations(
     conv: &ConversionCostModel,
     format: Format,
 ) -> Option<usize> {
-    let csr = times.get(Format::Csr);
-    if format == Format::Csr {
-        return csr.is_finite().then_some(0);
-    }
-    let t = times.get(format);
-    if !t.is_finite() || !csr.is_finite() || t >= csr {
-        return None;
-    }
-    // conversion * csr + n * t <= n * csr  =>  n >= conversion * csr / (csr - t)
-    let n = (conv.relative(format) * csr / (csr - t)).ceil();
-    Some(n as usize)
+    break_even(|f| times.get(f), conv, format)
 }
 
 /// Sweep iteration counts and report where the amortized choice flips —

@@ -1,23 +1,18 @@
-//! Single-pass feature extraction with reusable scratch buffers.
+//! Single-pass feature extraction with reusable scratch buffers — the
+//! one implementation behind every [`MatrixStats`] in the workspace.
 //!
-//! [`MatrixStats::from_csr`] is correct but allocation-heavy: it builds a
-//! row-counts `Vec`, a diagonal occupancy bitmap, and then re-walks the
-//! counts separately for the sum, min, max, deviation sums, `csr_max`
-//! warp chunks, the HYB histogram, and the HYB ELL occupancy. That is
-//! fine for offline table generation and fatal for a serving hot path
-//! that wants to stay allocation-free.
-//!
-//! [`FeatureExtractor`] computes the identical [`MatrixStats`] from one
-//! walk over the CSR row pointers (counts, nnz, min/max, warp chunks,
-//! HYB histogram), one walk over the cache-resident counts scratch (the
-//! mean-relative deviation sums, which cannot ride the first walk
-//! because they need the mean), and one walk over the column indices
-//! (diagonal census). All scratch buffers are reused across calls and
-//! cleared in O(1) with an epoch stamp, so a warmed extractor performs
-//! zero heap allocations. Floating-point accumulation order matches the
-//! legacy path operation for operation, so the result is bit-identical —
-//! `crates/features/tests/properties.rs` proves it over random, empty,
-//! single-row, hub, banded, and power-law matrices.
+//! [`FeatureExtractor`] computes [`MatrixStats`] from one walk over the
+//! CSR row pointers (counts, nnz, min/max, warp chunks, HYB histogram),
+//! one walk over the cache-resident counts scratch (the mean-relative
+//! deviation sums, which cannot ride the first walk because they need the
+//! mean), and one walk over the column indices (diagonal census). All
+//! scratch buffers are reused across calls and cleared in O(1) with an
+//! epoch stamp, so a warmed extractor performs zero heap allocations.
+//! [`MatrixStats::from_csr`] and [`MatrixStats::from_row_counts`] run a
+//! fresh extractor; the serving engine keeps one warm per thread.
+//! `crates/features/tests/properties.rs` pins the result bit for bit to a
+//! straightforward multi-pass oracle over random, empty, single-row, hub,
+//! banded, and power-law matrices.
 
 use crate::stats::WARP_ROWS;
 use crate::{FeatureVector, MatrixStats};
@@ -64,27 +59,62 @@ impl FeatureExtractor {
         }
     }
 
-    /// Compute all statistics of `csr`, bit-identical to
-    /// [`MatrixStats::from_csr`], reusing this extractor's scratch.
+    /// Compute all statistics of `csr`, reusing this extractor's scratch.
     pub fn stats(&mut self, csr: &CsrMatrix) -> MatrixStats {
-        let nrows = csr.nrows();
-        let ncols = csr.ncols();
+        let (nrows, ncols) = (csr.nrows(), csr.ncols());
+        let row_ptr = csr.row_ptr();
+        let mut stats = self.row_stats(nrows, ncols, row_ptr.windows(2).map(|w| w[1] - w[0]));
+
+        // Walk 3: the column indices — diagonal census over the
+        // `nrows + ncols - 1` possible offsets, occupancy tracked by
+        // epoch stamp instead of a freshly-zeroed bitmap.
+        if nrows > 0 && ncols > 0 {
+            let epoch = self.epoch;
+            let offsets = nrows + ncols - 1;
+            if self.diag_epoch.len() < offsets {
+                self.diag_epoch.resize(offsets, 0);
+            }
+            let col_idx = csr.col_idx();
+            let mut diagonals = 0usize;
+            for r in 0..nrows {
+                for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
+                    let idx = c as usize + nrows - 1 - r;
+                    if self.diag_epoch[idx] != epoch {
+                        self.diag_epoch[idx] = epoch;
+                        diagonals += 1;
+                    }
+                }
+            }
+            stats.diagonals = diagonals;
+            stats.dia_size = diagonals * nrows;
+        }
+        stats
+    }
+
+    /// The row-length statistics of a matrix whose per-row nonzero
+    /// counts are `counts` (exactly `nrows` of them), with the diagonal
+    /// census left at zero. Starts a new epoch; [`Self::stats`] runs its
+    /// census in the same one.
+    pub(crate) fn row_stats(
+        &mut self,
+        nrows: usize,
+        ncols: usize,
+        counts: impl Iterator<Item = usize>,
+    ) -> MatrixStats {
         self.next_epoch();
         let epoch = self.epoch;
         if self.counts.len() < nrows {
             self.counts.resize(nrows, 0);
         }
 
-        // Walk 1: the row pointers. Fills the counts scratch and folds in
+        // Walk 1: the row counts. Fills the counts scratch and folds in
         // every aggregate that does not depend on the mean.
-        let row_ptr = csr.row_ptr();
         let mut nnz = 0usize;
         let mut nnz_min = usize::MAX;
         let mut nnz_max = 0usize;
         let mut csr_max = 0usize;
         let mut warp_sum = 0usize;
-        for r in 0..nrows {
-            let c = row_ptr[r + 1] - row_ptr[r];
+        for (r, c) in counts.enumerate() {
             self.counts[r] = c;
             nnz += c;
             nnz_min = nnz_min.min(c);
@@ -144,8 +174,7 @@ impl FeatureExtractor {
         };
 
         // Walk 2: the counts scratch, in row order. The deviation sums
-        // need the mean, so they cannot ride walk 1; accumulation order
-        // matches `MatrixStats::from_row_counts` exactly.
+        // need the mean, so they cannot ride walk 1.
         let mut var_sum = 0.0;
         let mut lower_sum = 0.0;
         let mut lower_n = 0usize;
@@ -180,29 +209,6 @@ impl FeatureExtractor {
             (higher_sum / higher_n as f64).sqrt()
         };
 
-        // Walk 3: the column indices — diagonal census over the
-        // `nrows + ncols - 1` possible offsets, occupancy tracked by
-        // epoch stamp instead of a freshly-zeroed bitmap.
-        let mut diagonals = 0usize;
-        let mut dia_size = 0usize;
-        if nrows > 0 && ncols > 0 {
-            let offsets = nrows + ncols - 1;
-            if self.diag_epoch.len() < offsets {
-                self.diag_epoch.resize(offsets, 0);
-            }
-            let col_idx = csr.col_idx();
-            for r in 0..nrows {
-                for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-                    let idx = c as usize + nrows - 1 - r;
-                    if self.diag_epoch[idx] != epoch {
-                        self.diag_epoch[idx] = epoch;
-                        diagonals += 1;
-                    }
-                }
-            }
-            dia_size = diagonals * nrows;
-        }
-
         MatrixStats {
             nrows,
             ncols,
@@ -218,8 +224,8 @@ impl FeatureExtractor {
             hyb_ell_size: hyb_ell_width * nrows,
             hyb_ell_nnz,
             hyb_coo_nnz: nnz - hyb_ell_nnz,
-            diagonals,
-            dia_size,
+            diagonals: 0,
+            dia_size: 0,
             ell_size: nnz_max * nrows,
         }
     }
@@ -235,20 +241,8 @@ mod tests {
     use super::*;
     use spsel_matrix::gen;
 
-    #[test]
-    fn matches_legacy_path_on_generators() {
-        let mut ex = FeatureExtractor::new();
-        let matrices = [
-            CsrMatrix::from(&gen::stencil2d(12, 0)),
-            CsrMatrix::from(&gen::power_law(200, 180, 2, 2.3, 90, 7)),
-            CsrMatrix::from(&gen::banded(150, 5, 0.7, 3)),
-            CsrMatrix::from(&gen::random_uniform(64, 96, 6, 4)),
-        ];
-        for csr in &matrices {
-            assert_eq!(ex.stats(csr), MatrixStats::from_csr(csr));
-            assert_eq!(ex.features(csr), FeatureVector::from_csr(csr));
-        }
-    }
+    // `MatrixStats::from_csr` runs a fresh extractor, so these pin a warm
+    // extractor to a cold one.
 
     #[test]
     fn scratch_reuse_across_shrinking_matrices() {

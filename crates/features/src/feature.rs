@@ -169,7 +169,8 @@ impl FeatureVector {
         FeatureVector { values: v }
     }
 
-    /// Extract features directly from a CSR matrix (computes stats first).
+    /// Extract features directly from a CSR matrix, via
+    /// [`MatrixStats::from_csr`] (a fresh single-pass extractor).
     pub fn from_csr(csr: &CsrMatrix) -> Self {
         Self::from_stats(&MatrixStats::from_csr(csr))
     }

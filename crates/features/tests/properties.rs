@@ -1,6 +1,8 @@
 //! Property-based tests of the feature-extraction and preprocessing
 //! invariants the selector relies on.
 
+mod oracle;
+
 use proptest::prelude::*;
 use spsel_features::{
     FeatureExtractor, FeatureId, FeatureVector, MatrixStats, MinMaxScaler, Pca, Preprocessor,
@@ -35,6 +37,14 @@ proptest! {
         // Fractions bounded.
         prop_assert!((0.0..=1.0).contains(&s.ell_fraction()));
         prop_assert!((0.0..=1.0).contains(&s.hyb_ell_fraction()));
+    }
+
+    #[test]
+    fn row_count_stats_match_oracle((nrows, counts) in arb_counts()) {
+        prop_assert_eq!(
+            MatrixStats::from_row_counts(nrows, 64, &counts),
+            oracle::row_stats(nrows, 64, &counts)
+        );
     }
 
     #[test]
@@ -150,24 +160,43 @@ fn arb_pattern() -> impl Strategy<Value = CsrMatrix> {
     })
 }
 
-/// Bit-exact comparison of the single-pass extractor against the legacy
-/// multi-pass path: stats must be `==` and the derived feature vector
+#[test]
+fn extractor_matches_oracle_on_generators() {
+    let mut ex = FeatureExtractor::new();
+    let matrices = [
+        CsrMatrix::from(&gen::stencil2d(12, 0)),
+        CsrMatrix::from(&gen::power_law(200, 180, 2, 2.3, 90, 7)),
+        CsrMatrix::from(&gen::banded(150, 5, 0.7, 3)),
+        CsrMatrix::from(&gen::random_uniform(64, 96, 6, 4)),
+    ];
+    for csr in &matrices {
+        assert_extractor_identical(&mut ex, csr);
+        assert_eq!(MatrixStats::from_csr(csr), oracle::stats(csr));
+        assert_eq!(
+            FeatureVector::from_csr(csr),
+            FeatureVector::from_stats(&oracle::stats(csr))
+        );
+    }
+}
+
+/// Bit-exact comparison of the single-pass extractor against the
+/// multi-pass oracle: stats must be `==` and the derived feature vector
 /// must match to the bit.
 fn assert_extractor_identical(ex: &mut FeatureExtractor, csr: &CsrMatrix) {
-    let legacy = MatrixStats::from_csr(csr);
-    assert_eq!(ex.stats(csr), legacy, "stats diverge");
-    let bits_new: Vec<u64> = ex
+    let expected = oracle::stats(csr);
+    assert_eq!(ex.stats(csr), expected, "stats diverge");
+    let bits_got: Vec<u64> = ex
         .features(csr)
         .as_slice()
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let bits_old: Vec<u64> = FeatureVector::from_stats(&legacy)
+    let bits_want: Vec<u64> = FeatureVector::from_stats(&expected)
         .as_slice()
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    assert_eq!(bits_new, bits_old, "feature bits diverge");
+    assert_eq!(bits_got, bits_want, "feature bits diverge");
 }
 
 fn dist(a: &[f64], b: &[f64]) -> f64 {

@@ -197,22 +197,14 @@ pub fn explain_times(spec: &GpuSpec, stats: &MatrixStats) -> [TimeBreakdown; 4] 
     [coo, csr, ell, hyb]
 }
 
-/// Model the four kernel times for a matrix described by `stats`.
+/// Model the four kernel times for a matrix described by `stats`: the
+/// CUSP/SpMV slice of [`predict_workload_times`], same bits.
 ///
 /// `matrix_id` seeds the deterministic measurement noise; pass a stable
 /// per-matrix identifier.
 pub fn predict_times(spec: &GpuSpec, stats: &MatrixStats, matrix_id: u64) -> SpmvTimes {
-    let gpu_idx = spec.gpu as usize;
-    let breakdown = explain_times(spec, stats);
-    let mut us = [0.0; 4];
-    for (fi, b) in breakdown.iter().enumerate() {
-        let t = b.total_us();
-        us[fi] = if t.is_finite() {
-            t * noise_factor(matrix_id, fi, gpu_idx)
-        } else {
-            t
-        };
-    }
+    let mut us = [0.0; Format::COUNT];
+    price(spec, stats, matrix_id, Format::ALL, Workload::SpMv, &mut us);
     SpmvTimes { us }
 }
 
@@ -223,10 +215,11 @@ pub fn best_format(spec: &GpuSpec, stats: &MatrixStats, matrix_id: u64) -> Optio
 
 // --------------------------------------------------------- format zoo model
 //
-// Everything below is the registry/workload-aware extension. The four
-// CUSP formats under `Workload::SpMv` delegate to `explain_times`, so the
-// default registry reproduces every historical prediction bit for bit;
-// BSR/SELL/DIA and the SpMM workloads are new model surface.
+// Everything below prices any (format, workload) pair. The four CUSP
+// formats under `Workload::SpMv` are the `explain_times` entries, and
+// every SpMV noise lane is the historical `(matrix, format, gpu)` lane,
+// so `predict_times` is just the CUSP/SpMV slice of `price`;
+// BSR/SELL/DIA and the SpMM workloads extend the same breakdowns.
 
 /// Fixed per-format stream-efficiency factors of the extended formats.
 /// They live here (not in `KernelCoeffs`) because `GpuSpec` is serialized
@@ -277,10 +270,15 @@ fn dia_limit(stats: &MatrixStats) -> usize {
 }
 
 /// Noise-free SpMV breakdown for any registered format. CUSP formats are
-/// the `explain_times` entries unchanged.
-fn spmv_breakdown(spec: &GpuSpec, stats: &MatrixStats, format: Format) -> TimeBreakdown {
+/// read from `cusp`, the matrix's [`explain_times`] entries.
+fn spmv_breakdown(
+    spec: &GpuSpec,
+    stats: &MatrixStats,
+    cusp: &[TimeBreakdown; Format::COUNT],
+    format: Format,
+) -> TimeBreakdown {
     if format.index() < Format::COUNT {
-        return explain_times(spec, stats)[format.index()];
+        return cusp[format.index()];
     }
     let c = &spec.coeffs;
     let bw = spec.bytes_per_us();
@@ -356,9 +354,15 @@ fn dense_bytes_per_nnz_col(spec: &GpuSpec, stats: &MatrixStats, k: usize) -> f64
 
 /// Noise-free SpMM (`k` dense columns) breakdown for any registered
 /// format, built from the same launch/stream/straggler decomposition as
-/// SpMV: the matrix is streamed once, the dense operand `k`-wide.
-fn spmm_breakdown(spec: &GpuSpec, stats: &MatrixStats, format: Format, k: usize) -> TimeBreakdown {
-    let base = spmv_breakdown(spec, stats, format);
+/// SpMV (`base`, the format's SpMV breakdown): the matrix is streamed
+/// once, the dense operand `k`-wide.
+fn spmm_breakdown(
+    spec: &GpuSpec,
+    stats: &MatrixStats,
+    base: TimeBreakdown,
+    format: Format,
+    k: usize,
+) -> TimeBreakdown {
     if !base.feasible {
         return base;
     }
@@ -440,9 +444,48 @@ pub fn explain_workload(
     format: Format,
     workload: Workload,
 ) -> TimeBreakdown {
+    breakdown(spec, stats, &explain_times(spec, stats), format, workload)
+}
+
+/// [`explain_workload`] with the matrix's CUSP SpMV breakdowns already
+/// computed, so pricing a whole registry derives them once.
+fn breakdown(
+    spec: &GpuSpec,
+    stats: &MatrixStats,
+    cusp: &[TimeBreakdown; Format::COUNT],
+    format: Format,
+    workload: Workload,
+) -> TimeBreakdown {
+    let base = spmv_breakdown(spec, stats, cusp, format);
     match workload {
-        Workload::SpMv => spmv_breakdown(spec, stats, format),
-        Workload::SpMm { k } => spmm_breakdown(spec, stats, format, k),
+        Workload::SpMv => base,
+        Workload::SpMm { k } => spmm_breakdown(spec, stats, base, format, k),
+    }
+}
+
+/// The one pricing loop: the noisy kernel time of every format in
+/// `formats` under `workload`, written to `us[format.index()]`.
+///
+/// Noise lanes: SpMV keeps the historical `(matrix, format, gpu)` lanes,
+/// while each SpMM `k` draws from its own disjoint lane block.
+fn price(
+    spec: &GpuSpec,
+    stats: &MatrixStats,
+    matrix_id: u64,
+    formats: impl IntoIterator<Item = Format>,
+    workload: Workload,
+    us: &mut [f64],
+) {
+    let gpu_idx = spec.gpu as usize;
+    let cusp = explain_times(spec, stats);
+    for f in formats {
+        let t = breakdown(spec, stats, &cusp, f, workload).total_us();
+        us[f.index()] = if t.is_finite() {
+            let lane = f.index() + 8 * workload.lane() as usize;
+            t * noise_factor(matrix_id, lane, gpu_idx)
+        } else {
+            t
+        };
     }
 }
 
@@ -476,10 +519,8 @@ impl WorkloadTimes {
 }
 
 /// Model the kernel times of every format in `registry` for `workload`.
-///
-/// Noise lanes: SpMV keeps the historical `(matrix, format, gpu)` lanes —
-/// [`predict_times`] and this function agree exactly on the CUSP formats —
-/// while each SpMM `k` draws from its own disjoint lane block.
+/// On the CUSP formats under SpMV this agrees with [`predict_times`] bit
+/// for bit.
 pub fn predict_workload_times(
     spec: &GpuSpec,
     stats: &MatrixStats,
@@ -487,17 +528,9 @@ pub fn predict_workload_times(
     registry: &FormatRegistry,
     workload: Workload,
 ) -> WorkloadTimes {
-    let gpu_idx = spec.gpu as usize;
     let mut us = [f64::INFINITY; Format::UNIVERSE_COUNT];
-    for f in registry.formats() {
-        let t = explain_workload(spec, stats, f, workload).total_us();
-        us[f.index()] = if t.is_finite() {
-            let lane = f.index() + 8 * workload.lane() as usize;
-            t * noise_factor(matrix_id, lane, gpu_idx)
-        } else {
-            t
-        };
-    }
+    let formats = registry.specs().map(|s| s.format());
+    price(spec, stats, matrix_id, formats, workload, &mut us);
     WorkloadTimes { us }
 }
 

@@ -288,8 +288,7 @@ impl GradientBoosting {
 
     /// Fit with the naive per-node re-sorting split search (the pre-presort
     /// reference). Retained so tests can prove the presorted
-    /// [`Classifier::fit`] grows bit-identical boosters and so `perfcheck`
-    /// can measure the split-search speedup on real data.
+    /// [`Classifier::fit`] grows bit-identical boosters.
     #[doc(hidden)]
     pub fn fit_naive(&mut self, data: &Dataset) {
         self.fit_impl(data, None);

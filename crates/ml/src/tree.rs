@@ -390,8 +390,7 @@ impl DecisionTree {
 
     /// Fit with the naive per-node re-sorting split search. This is the
     /// pre-presort implementation, retained so tests can prove the
-    /// presorted [`Classifier::fit`] grows bit-identical trees and so
-    /// `perfcheck` can measure the split-search speedup on real data.
+    /// presorted [`Classifier::fit`] grows bit-identical trees.
     #[doc(hidden)]
     pub fn fit_naive(&mut self, data: &Dataset) {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");

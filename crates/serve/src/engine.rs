@@ -35,15 +35,13 @@ use crate::protocol::{
     SelectBody, SelectReply, StatsReply, SwapReply, SyncReply,
 };
 use spsel_core::cache::KeyWriter;
-use spsel_core::overhead::{
-    amortized_best, amortized_best_workload, break_even_iterations, break_even_iterations_workload,
-};
+use spsel_core::overhead::{amortized_best_workload, break_even_iterations_workload};
 use spsel_core::semi::SemiSupervisedSelector;
 use spsel_core::telemetry::ServingReport;
 use spsel_core::{DecisionPhaseNs, ShardedOnlineSelector};
 use spsel_features::{FeatureExtractor, FeatureId, FeatureVector, MatrixStats, NUM_FEATURES};
 use spsel_gpusim::cost::ConversionCostModel;
-use spsel_gpusim::{predict_times, predict_workload_times, Gpu};
+use spsel_gpusim::{predict_workload_times, Gpu};
 use spsel_matrix::{io, CsrMatrix, Format, FormatRegistry, Workload};
 use std::cell::RefCell;
 use std::path::Path;
@@ -540,67 +538,46 @@ impl Engine {
             self.metrics.decision_phases(extract_ns, phases);
         }
 
-        // The SpMV path is the original four-format codepath, untouched:
-        // a CUSP-default model answers SpMV requests byte-identically to
-        // builds that predate workloads. Other workloads (and wider
-        // registries) go through the workload-generic tables.
-        let legacy_spmv = workload == Workload::SpMv
-            && model.registry.digest() == FormatRegistry::cusp_default().digest();
-        let (format, predicted, amortized, break_even) = if legacy_spmv {
-            let times = predict_times(&gpu.spec(), &stats, matrix_id(&fv));
-            let amortized = amortized_best(&times, &model.conversion, iterations);
-            let break_even = break_even_iterations(&times, &model.conversion, amortized.format);
-            let predicted = Format::ALL
-                .into_iter()
-                .map(|f| {
-                    let t = times.get(f);
-                    FormatTime {
-                        format: f.name().to_string(),
-                        us: t.is_finite().then_some(t),
-                    }
-                })
-                .collect();
-            (decision.format, predicted, amortized, break_even)
+        // Non-SpMV format: the cluster's per-workload label when the
+        // cluster was seen in training; the SpMV decision otherwise
+        // (online clusters opened after training have no table row).
+        let format = if workload == Workload::SpMv {
+            decision.format
         } else {
-            let state = model.state(gpu)?;
-            // Non-SpMV format: the cluster's per-workload label when the
-            // cluster was seen in training; the SpMV decision otherwise
-            // (online clusters opened after training have no table row).
-            let format = if workload == Workload::SpMv {
-                decision.format
-            } else {
-                state
-                    .workload_labels
-                    .iter()
-                    .find(|(w, _)| *w == workload)
-                    .and_then(|(_, labels)| labels.get(decision.cluster))
-                    .copied()
-                    .unwrap_or(decision.format)
-            };
-            let times = predict_workload_times(
-                &gpu.spec(),
-                &stats,
-                matrix_id(&fv),
-                &model.registry,
-                workload,
-            );
-            let formats = model.registry.formats();
-            let amortized =
-                amortized_best_workload(&times, &formats, &model.conversion, iterations);
-            let break_even =
-                break_even_iterations_workload(&times, &model.conversion, amortized.format);
-            let predicted = formats
+            model
+                .state(gpu)?
+                .workload_labels
                 .iter()
-                .map(|&f| {
-                    let t = times.get(f);
-                    FormatTime {
-                        format: f.name().to_string(),
-                        us: t.is_finite().then_some(t),
-                    }
-                })
-                .collect();
-            (format, predicted, amortized, break_even)
+                .find(|(w, _)| *w == workload)
+                .and_then(|(_, labels)| labels.get(decision.cluster))
+                .copied()
+                .unwrap_or(decision.format)
         };
+        // One pricing path for every (registry, workload): a CUSP-default
+        // model under SpMV prices the four formats in `Format::ALL` order
+        // on the historical noise lanes, so its replies carry the bits of
+        // `predict_times` + `amortized_best`.
+        let times = predict_workload_times(
+            &gpu.spec(),
+            &stats,
+            matrix_id(&fv),
+            &model.registry,
+            workload,
+        );
+        let formats = model.registry.formats();
+        let amortized = amortized_best_workload(&times, &formats, &model.conversion, iterations);
+        let break_even =
+            break_even_iterations_workload(&times, &model.conversion, amortized.format);
+        let predicted = formats
+            .iter()
+            .map(|&f| {
+                let t = times.get(f);
+                FormatTime {
+                    format: f.name().to_string(),
+                    us: t.is_finite().then_some(t),
+                }
+            })
+            .collect();
 
         Ok(SelectReply {
             gpu: gpu.name().to_string(),

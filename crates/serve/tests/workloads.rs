@@ -6,10 +6,13 @@ use spsel_core::cache::Cache;
 use spsel_core::corpus::CorpusConfig;
 use spsel_core::experiments::formatzoo::RegistryChoice;
 use spsel_core::experiments::ExperimentContext;
+use spsel_core::overhead::{amortized_best, break_even_iterations};
 use spsel_core::telemetry::{RunReport, ServingReport};
 use spsel_features::{FeatureVector, MatrixStats};
-use spsel_matrix::{gen, CsrMatrix, FormatRegistry, Workload};
+use spsel_gpusim::{predict_times, Gpu};
+use spsel_matrix::{gen, io, CooMatrix, CsrMatrix, Format, FormatRegistry, Workload};
 use spsel_serve::artifact::{self, registry_for_digest, TrainConfig};
+use spsel_serve::engine::matrix_id;
 use spsel_serve::protocol::SelectBody;
 use spsel_serve::{Client, Engine, EngineOptions, Request, ServeError, ServeOptions, Server};
 use std::net::SocketAddr;
@@ -281,4 +284,80 @@ fn default_registry_models_answer_spmm_within_the_cusp_formats() {
         let chosen = spsel_serve::protocol::parse_format(&spmm.format).unwrap();
         assert!(FormatRegistry::cusp_default().contains(chosen));
     }
+}
+
+/// A CUSP-default model prices SpMV through the registry × workload path;
+/// every reply must carry exactly the bits of the four-format model —
+/// `predict_times`, `amortized_best`, `break_even_iterations` — on the
+/// features the engine resolved, on every GPU and across the iteration
+/// range where the amortized choice flips.
+#[test]
+fn cusp_default_spmv_selects_match_the_four_format_model_bit_for_bit() {
+    let ctx = context(40, 9);
+    let model = artifact::train(&ctx, &TrainConfig::default()).expect("training succeeds");
+    let engine = Engine::from_artifact(&model, &EngineOptions::default()).unwrap();
+
+    let mut bodies: Vec<SelectBody> = Vec::new();
+    for seed in 0..12u64 {
+        let coo = match seed % 4 {
+            0 => gen::power_law(150 + seed as usize * 10, 150, 2, 2.4, 60, seed),
+            1 => gen::banded(300 + seed as usize * 7, 4, 0.8, seed),
+            2 => gen::stencil2d(12 + seed as usize, seed),
+            _ => gen::row_skewed(200, 400, 2, 90, 0.1, seed),
+        };
+        let fv = FeatureVector::from_csr(&CsrMatrix::from(&coo));
+        bodies.push(body("pascal", fv.as_slice().to_vec(), None));
+    }
+    let mtx = std::env::temp_dir().join(format!("spsel-pin-{}.mtx", std::process::id()));
+    let coo: CooMatrix = gen::power_law(400, 400, 2, 2.2, 120, 3);
+    io::write_matrix_market_file(&coo, &mtx).expect("writes the probe matrix");
+    bodies.push(SelectBody {
+        matrix: Some(mtx.to_string_lossy().into_owned()),
+        features: None,
+        ..body("pascal", Vec::new(), None)
+    });
+
+    let mut checked = 0;
+    for gpu in Gpu::ALL {
+        for base in &bodies {
+            for iterations in [1usize, 100, 10_000, 1_000_000] {
+                let b = SelectBody {
+                    gpu: gpu.name().to_string(),
+                    iterations: Some(iterations),
+                    ..base.clone()
+                };
+                let reply = engine.select(&b).expect("select succeeds");
+                let (fv, stats) = engine.resolve_features(&b).expect("features resolve");
+                let times = predict_times(&gpu.spec(), &stats, matrix_id(&fv));
+                let amortized = amortized_best(&times, &model.conversion, iterations);
+                let break_even = break_even_iterations(&times, &model.conversion, amortized.format);
+
+                let names: Vec<&str> = reply.predicted.iter().map(|p| p.format.as_str()).collect();
+                let want: Vec<&str> = Format::ALL.iter().map(|f| f.name()).collect();
+                assert_eq!(names, want);
+                for (p, f) in reply.predicted.iter().zip(Format::ALL) {
+                    let t = times.get(f);
+                    assert_eq!(
+                        p.us.map(f64::to_bits),
+                        t.is_finite().then_some(t.to_bits()),
+                        "{f} on {}",
+                        gpu.name()
+                    );
+                }
+                assert_eq!(reply.amortized_format, amortized.format.name());
+                assert_eq!(
+                    reply.amortized_total_us.to_bits(),
+                    amortized.total_us.to_bits()
+                );
+                assert_eq!(
+                    reply.csr_total_us.to_bits(),
+                    amortized.csr_total_us.to_bits()
+                );
+                assert_eq!(reply.break_even_iterations, break_even);
+                checked += 1;
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&mtx);
+    assert_eq!(checked, 3 * 13 * 4);
 }

@@ -27,6 +27,12 @@ cargo test -q --offline
 echo "==> cargo test (full workspace)"
 cargo test -q --offline --workspace
 
+echo "==> spbench unit tests (the benchmark builds against these crates)"
+# spbench is a package of its own (empty [workspace]) that calls the
+# crates' public functions by path: building and testing it here makes a
+# signature change it depends on fail CI rather than the benchmark run.
+cargo test --release --offline --manifest-path spbench/Cargo.toml --target-dir target/spbench
+
 echo "==> fault-injection smoke (table binaries under 5% faults)"
 cargo build -q --release --offline -p spsel-bench --bin table2 --bin table3
 SMOKE_DIR="$(mktemp -d)"

@@ -570,8 +570,14 @@ mod tests {
         );
     }
 
+    /// Held by every test that flips the process-wide worker settings:
+    /// tests run on parallel threads, and one test's `set_serial(true)`
+    /// would otherwise show through another's `current_num_threads`.
+    static GLOBAL_SETTINGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn thread_override_gives_identical_results() {
+        let _settings = GLOBAL_SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
         let v: Vec<u64> = (0..8_192).collect();
         let base: Vec<u64> = v.par_iter().map(|&x| x.rotate_left(7) ^ x).collect();
         for workers in [1, 2, 4, 8] {
@@ -585,6 +591,7 @@ mod tests {
 
     #[test]
     fn serial_mode_gives_identical_results() {
+        let _settings = GLOBAL_SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
         let v: Vec<u64> = (0..8_192).collect();
         let par: Vec<u64> = v.par_iter().map(|&x| x.wrapping_mul(x)).collect();
         super::set_serial(true);
